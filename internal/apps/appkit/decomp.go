@@ -141,15 +141,9 @@ func (f *Field3D) SetInterior(vals []float64) {
 	}
 }
 
-// halo exchange tags; each axis uses two (one per direction).
-const (
-	tagHaloXLo = 1100 + iota
-	tagHaloXHi
-	tagHaloYLo
-	tagHaloYHi
-	tagHaloZLo
-	tagHaloZHi
-)
+// tagHalo is the first halo exchange tag: axis ax sends toward its low
+// neighbour with tagHalo+2*ax and toward its high one with tagHalo+2*ax+1.
+const tagHalo = 1100
 
 // Exchange fills the ghost layers from the six face neighbors using the
 // three-phase (x, then y, then z) scheme, which also propagates edge and
@@ -157,120 +151,80 @@ const (
 // (non-periodic domain boundary) leave ghosts untouched.
 func (f *Field3D) Exchange(ctx *Context) error {
 	d := f.D
-	type phase struct {
-		loNbr, hiNbr   int
-		tagLo, tagHi   int
-		packLo, packHi func() []float64
-		fillLo, fillHi func([]float64)
+	nbrs := [3][2]int{
+		{d.Neighbor(-1, 0, 0), d.Neighbor(1, 0, 0)},
+		{d.Neighbor(0, -1, 0), d.Neighbor(0, 1, 0)},
+		{d.Neighbor(0, 0, -1), d.Neighbor(0, 0, 1)},
 	}
-	planeYZ := func(x int) []float64 {
-		out := make([]float64, 0, f.SY*f.SZ)
-		for z := 0; z < f.SZ; z++ {
-			for y := 0; y < f.SY; y++ {
-				out = append(out, f.At(x, y, z))
-			}
-		}
-		return out
-	}
-	setPlaneYZ := func(x int, vals []float64) {
-		i := 0
-		for z := 0; z < f.SZ; z++ {
-			for y := 0; y < f.SY; y++ {
-				f.Set(x, y, z, vals[i])
-				i++
-			}
-		}
-	}
-	planeXZ := func(y int) []float64 {
-		out := make([]float64, 0, f.SX*f.SZ)
-		for z := 0; z < f.SZ; z++ {
-			for x := 0; x < f.SX; x++ {
-				out = append(out, f.At(x, y, z))
-			}
-		}
-		return out
-	}
-	setPlaneXZ := func(y int, vals []float64) {
-		i := 0
-		for z := 0; z < f.SZ; z++ {
-			for x := 0; x < f.SX; x++ {
-				f.Set(x, y, z, vals[i])
-				i++
-			}
-		}
-	}
-	planeXY := func(z int) []float64 {
-		out := make([]float64, 0, f.SX*f.SY)
-		for y := 0; y < f.SY; y++ {
-			for x := 0; x < f.SX; x++ {
-				out = append(out, f.At(x, y, z))
-			}
-		}
-		return out
-	}
-	setPlaneXY := func(z int, vals []float64) {
-		i := 0
-		for y := 0; y < f.SY; y++ {
-			for x := 0; x < f.SX; x++ {
-				f.Set(x, y, z, vals[i])
-				i++
-			}
-		}
-	}
-	phases := []phase{
-		{
-			loNbr: d.Neighbor(-1, 0, 0), hiNbr: d.Neighbor(1, 0, 0),
-			tagLo: tagHaloXLo, tagHi: tagHaloXHi,
-			packLo: func() []float64 { return planeYZ(1) },
-			packHi: func() []float64 { return planeYZ(d.LX) },
-			fillLo: func(v []float64) { setPlaneYZ(0, v) },
-			fillHi: func(v []float64) { setPlaneYZ(d.LX+1, v) },
-		},
-		{
-			loNbr: d.Neighbor(0, -1, 0), hiNbr: d.Neighbor(0, 1, 0),
-			tagLo: tagHaloYLo, tagHi: tagHaloYHi,
-			packLo: func() []float64 { return planeXZ(1) },
-			packHi: func() []float64 { return planeXZ(d.LY) },
-			fillLo: func(v []float64) { setPlaneXZ(0, v) },
-			fillHi: func(v []float64) { setPlaneXZ(d.LY+1, v) },
-		},
-		{
-			loNbr: d.Neighbor(0, 0, -1), hiNbr: d.Neighbor(0, 0, 1),
-			tagLo: tagHaloZLo, tagHi: tagHaloZHi,
-			packLo: func() []float64 { return planeXY(1) },
-			packHi: func() []float64 { return planeXY(d.LZ) },
-			fillLo: func(v []float64) { setPlaneXY(0, v) },
-			fillHi: func(v []float64) { setPlaneXY(d.LZ+1, v) },
-		},
-	}
-	for _, ph := range phases {
+	lens := [3]int{d.LX, d.LY, d.LZ}
+	for ax, nb := range nbrs {
+		loNbr, hiNbr := nb[0], nb[1]
+		tagLo := tagHalo + 2*ax
+		tagHi := tagLo + 1
 		// Post both sends first (eager), then receive; deadlock-free.
-		if ph.loNbr >= 0 {
-			if err := mpi.Send(ctx.R, ctx.World, ph.loNbr, ph.tagLo, enc.Float64sToBytes(ph.packLo())); err != nil {
+		if loNbr >= 0 {
+			if err := mpi.Send(ctx.R, ctx.World, loNbr, tagLo, f.packPlane(ax, 1)); err != nil {
 				return err
 			}
 		}
-		if ph.hiNbr >= 0 {
-			if err := mpi.Send(ctx.R, ctx.World, ph.hiNbr, ph.tagHi, enc.Float64sToBytes(ph.packHi())); err != nil {
+		if hiNbr >= 0 {
+			if err := mpi.Send(ctx.R, ctx.World, hiNbr, tagHi, f.packPlane(ax, lens[ax])); err != nil {
 				return err
 			}
 		}
-		if ph.loNbr >= 0 {
-			m, err := mpi.Recv(ctx.R, ctx.World, ph.loNbr, ph.tagHi)
+		if loNbr >= 0 {
+			m, err := mpi.Recv(ctx.R, ctx.World, loNbr, tagHi)
 			if err != nil {
 				return err
 			}
-			ph.fillLo(enc.BytesToFloat64s(m.Data))
+			f.fillPlane(ax, 0, m.Data)
 		}
-		if ph.hiNbr >= 0 {
-			m, err := mpi.Recv(ctx.R, ctx.World, ph.hiNbr, ph.tagLo)
+		if hiNbr >= 0 {
+			m, err := mpi.Recv(ctx.R, ctx.World, hiNbr, tagLo)
 			if err != nil {
 				return err
 			}
-			ph.fillHi(enc.BytesToFloat64s(m.Data))
+			f.fillPlane(ax, lens[ax]+1, m.Data)
 		}
 	}
 	return nil
+}
+
+// planeIndex returns the storage layout of the full (ghosts included)
+// plane at coordinate c of axis ax: the flat index of its first value, and
+// the extent and stride of its inner and outer axes, the other two axes
+// in x, y, z order.
+func (f *Field3D) planeIndex(ax, c int) (base, nIn, sIn, nOut, sOut int) {
+	ext := [3]int{f.SX, f.SY, f.SZ}
+	stride := [3]int{1, f.SX, f.SX * f.SY}
+	in, out := (ax+1)%3, (ax+2)%3
+	if in > out {
+		in, out = out, in
+	}
+	return c * stride[ax], ext[in], stride[in], ext[out], stride[out]
+}
+
+// packPlane encodes the plane at coordinate c of axis ax.
+func (f *Field3D) packPlane(ax, c int) []byte {
+	base, nIn, sIn, nOut, sOut := f.planeIndex(ax, c)
+	b := make([]byte, 0, 8*nIn*nOut)
+	for o := 0; o < nOut; o++ {
+		for i := 0; i < nIn; i++ {
+			b = enc.AppendFloat64(b, f.V[base+o*sOut+i*sIn])
+		}
+	}
+	return b
+}
+
+// fillPlane decodes a packed plane into coordinate c of axis ax.
+func (f *Field3D) fillPlane(ax, c int, b []byte) {
+	base, nIn, sIn, nOut, sOut := f.planeIndex(ax, c)
+	for o := 0; o < nOut; o++ {
+		for i := 0; i < nIn; i++ {
+			f.V[base+o*sOut+i*sIn] = enc.Float64(b)
+			b = b[8:]
+		}
+	}
 }
 
 // String describes the decomposition (diagnostics).

@@ -8,6 +8,7 @@ package hpccg
 import (
 	"errors"
 	"fmt"
+	"sync"
 
 	"match/internal/apps/appkit"
 	"match/internal/enc"
@@ -91,41 +92,93 @@ func (a *App) Init(ctx *appkit.Context) error {
 
 func (a *App) idx(i, j, k int) int { return i + a.nx*(j+a.ny*k) }
 
+// spmvPad recycles the zero-padded copies of v that spmv reads. spmv
+// never yields to the scheduler between Get and Put, so the pool holds
+// about one buffer per worker thread instead of one per simulated rank.
+var spmvPad sync.Pool
+
 // spmv computes out = A*v for the 27-point operator with the given z ghost
 // planes. Diagonal 27, off-diagonals -1 (rows at domain boundaries have
 // fewer neighbors, keeping A diagonally dominant and SPD).
+//
+// v and the ghost planes are first copied into a zero-padded
+// (nx+2)(ny+2)(nz+2) grid, so each point subtracts its 26 neighbours from
+// nine padded rows in dk, dj, di order with no bounds tests. A missing
+// neighbour reads a padded 0.0, which the operator subtracts exactly as it
+// always has.
 func (a *App) spmv(out, v, lo, hi []float64) {
-	at := func(i, j, k int) float64 {
-		if i < 0 || i >= a.nx || j < 0 || j >= a.ny {
-			return 0
-		}
-		switch {
-		case k < 0:
-			return lo[i+a.nx*j]
-		case k >= a.nz:
-			return hi[i+a.nx*j]
-		default:
-			return v[a.idx(i, j, k)]
+	px, py := a.nx+2, a.ny+2
+	buf, _ := spmvPad.Get().(*[]float64)
+	if buf == nil {
+		buf = new([]float64)
+	}
+	pad := *buf
+	if need := px * py * (a.nz + 2); cap(pad) < need {
+		pad = make([]float64, need)
+	} else {
+		pad = pad[:need]
+		clear(pad)
+	}
+	for k := -1; k <= a.nz; k++ {
+		for j := 0; j < a.ny; j++ {
+			var src []float64
+			switch {
+			case k < 0:
+				src = lo[a.nx*j:]
+			case k == a.nz:
+				src = hi[a.nx*j:]
+			default:
+				src = v[a.idx(0, j, k):]
+			}
+			copy(pad[1+px*(j+1+py*(k+1)):], src[:a.nx])
 		}
 	}
+	plane := px * py
 	for k := 0; k < a.nz; k++ {
 		for j := 0; j < a.ny; j++ {
-			for i := 0; i < a.nx; i++ {
-				sum := 27 * v[a.idx(i, j, k)]
-				for dk := -1; dk <= 1; dk++ {
-					for dj := -1; dj <= 1; dj++ {
-						for di := -1; di <= 1; di++ {
-							if di == 0 && dj == 0 && dk == 0 {
-								continue
-							}
-							sum -= at(i+di, j+dj, k+dk)
-						}
-					}
-				}
-				out[a.idx(i, j, k)] = sum
+			row := a.idx(0, j, k)
+			c := px * (j + 1 + py*(k+1)) // pad index of the row's i = -1 neighbour
+			w := a.nx + 2
+			// The nine neighbour rows, each starting at di = -1, named by
+			// dk (m, z, p for -1, 0, +1) then dj (m, 0, p).
+			mm, m0, mp := pad[c-plane-px:][:w], pad[c-plane:][:w], pad[c-plane+px:][:w]
+			zm, z0, zp := pad[c-px:][:w], pad[c:][:w], pad[c+px:][:w]
+			pm, p0, pp := pad[c+plane-px:][:w], pad[c+plane:][:w], pad[c+plane+px:][:w]
+			vRow, outRow := v[row:][:a.nx], out[row:][:a.nx]
+			for i := range vRow {
+				sum := 27 * vRow[i]
+				sum -= mm[i]
+				sum -= mm[i+1]
+				sum -= mm[i+2]
+				sum -= m0[i]
+				sum -= m0[i+1]
+				sum -= m0[i+2]
+				sum -= mp[i]
+				sum -= mp[i+1]
+				sum -= mp[i+2]
+				sum -= zm[i]
+				sum -= zm[i+1]
+				sum -= zm[i+2]
+				sum -= z0[i]
+				sum -= z0[i+2]
+				sum -= zp[i]
+				sum -= zp[i+1]
+				sum -= zp[i+2]
+				sum -= pm[i]
+				sum -= pm[i+1]
+				sum -= pm[i+2]
+				sum -= p0[i]
+				sum -= p0[i+1]
+				sum -= p0[i+2]
+				sum -= pp[i]
+				sum -= pp[i+1]
+				sum -= pp[i+2]
+				outRow[i] = sum
 			}
 		}
 	}
+	*buf = pad
+	spmvPad.Put(buf)
 }
 
 const (
